@@ -119,6 +119,23 @@ bool flag_on(const Args& args, const std::string& key, const char* cmd) {
               " (expected on|off)");
 }
 
+/// Writes a run in the format --format names, else the one its extension
+/// implies (.dvr packs, anything else is text). Every subcommand that
+/// writes a run goes through here. Returns the format written.
+metrics::StoreFormat write_run(const Args& args,
+                               const metrics::RunMetrics& run,
+                               const std::string& out) {
+  std::string name = args.one_or("format", "");
+  if (name.empty()) name = out.ends_with(".dvr") ? "dvr" : "text";
+  const auto fmt = metrics::store_format_from_string(name);
+  if (fmt == metrics::StoreFormat::kPacked) {
+    metrics::save_dvr(run, out);
+  } else {
+    run.save(out);
+  }
+  return fmt;
+}
+
 std::string read_file(const std::string& path) {
   std::ifstream is(path, std::ios::binary);
   DV_REQUIRE(is.good(), "cannot open: " + path);
@@ -248,7 +265,7 @@ int cmd_sim(const Args& args) {
   const std::string out = args.one("out");
   {
     obs::ScopedPhase phase("write");
-    result.run.save(out);
+    write_run(args, result.run, out);
   }
   std::printf(
       "simulated %s on %s: %llu events, %.2fs wall, end=%.0f ns (%u %s)\n",
@@ -408,20 +425,8 @@ int cmd_store(const Args& args) {
 int cmd_pack(const Args& args) {
   const std::string in = args.one("in");
   const std::string out = args.one("out");
-  // Output format: --format wins, else the output extension decides.
-  std::string fmt_name = args.one_or("format", "");
-  if (fmt_name.empty()) {
-    fmt_name = out.size() > 4 && out.compare(out.size() - 4, 4, ".dvr") == 0
-                   ? "dvr"
-                   : "text";
-  }
-  const auto fmt = metrics::store_format_from_string(fmt_name);
   const auto run = metrics::RunMetrics::load(in);
-  if (fmt == metrics::StoreFormat::kPacked) {
-    metrics::save_dvr(run, out);
-  } else {
-    run.save(out);
-  }
+  const auto fmt = write_run(args, run, out);
   const auto size_of = [](const std::string& p) {
     std::ifstream is(p, std::ios::binary | std::ios::ate);
     return is.good() ? static_cast<long long>(is.tellg()) : 0ll;
@@ -448,7 +453,7 @@ int cmd_inspect(const Args& args) {
   // point — this is what a catalog sees before the first query.
   const metrics::DvrFile f(path);
   std::printf("%s: dvr v%u, %llu bytes, run uid %016llx\n", path.c_str(),
-              metrics::kDvrVersion,
+              f.version(),
               static_cast<unsigned long long>(f.file_bytes()),
               static_cast<unsigned long long>(f.run_uid()));
   std::printf("config:   %s / %s / %s\n", f.workload().c_str(),
@@ -640,7 +645,7 @@ int cmd_trace_replay(const Args& args) {
   net.set_parallel(static_cast<std::uint32_t>(args.num_or("parallel", 1)));
   const auto run = net.run();
   const std::string out = args.one("out");
-  run.save(out);
+  write_run(args, run, out);
   std::printf("replayed %s (%u ranks) on %s: %llu packets, end=%.0f ns\n",
               t.app.c_str(), t.ranks, topo.describe().c_str(),
               static_cast<unsigned long long>(run.total_packets_finished()),
@@ -857,6 +862,7 @@ void print_help() {
       "dragonviz — visual analytics for large-scale dragonfly networks\n\n"
       "subcommands:\n"
       "  sim      --p N --job workload[:ranks[:policy]] ... --out run.json\n"
+      "           (--out x.dvr or --format dvr writes a packed run)\n"
       "           [--routing minimal|nonminimal|adaptive|par]\n"
       "           [--scale F] [--window NS] [--sample-dt NS] [--seed N]\n"
       "           [--parallel N]  (N>1: conservative parallel engine with\n"

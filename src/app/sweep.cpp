@@ -100,17 +100,16 @@ SweepResult run_sweep(const SweepConfig& cfg) {
 
         const std::string name =
             sweep_point_name(workload, routing, scale, cfg.base.backend);
-        // Replace (not suffix) so re-sweeping the same grid is idempotent.
-        if (store.contains(name)) store.remove(name);
-        const std::string stored = store.add(res.run, name, cfg.format);
-        DV_CHECK(stored == name, "sweep point name collided in the store");
+        // Replace (not suffix) so re-sweeping the same grid is idempotent:
+        // one atomic publish and one index save per point.
+        const std::uint64_t uid = store.replace(res.run, name, cfg.format).uid;
 
         SweepPoint p;
         p.name = name;
         p.workload = workload;
         p.routing = routing;
         p.scale = scale;
-        p.uid = store.info(name).uid;
+        p.uid = uid;
         p.events = res.events;
         p.end_time = res.run.end_time;
         p.wall_seconds = res.wall_seconds;

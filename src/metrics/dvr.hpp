@@ -9,7 +9,9 @@
 //   * mmap the file and touch only the chunks a query needs (lazy,
 //     per-query chunk loading — the out-of-core half of this layer),
 //   * skip chunks whose min/max zone map proves they cannot contribute
-//     (all-zero sampled-series chunks under a range sum), and
+//     (all-zero sampled-series chunks under a range sum),
+//   * pay for a sampled series' nonzeros only: series chunks that are
+//     mostly +0.0 are stored sparse (format version 2), and
 //   * identify the run stably across sessions via a content uid, the key
 //     VAID-style persistent query artifacts index on.
 //
@@ -19,6 +21,7 @@
 // byte. docs/RUN_FORMAT.md specifies the layout.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -28,7 +31,10 @@
 
 namespace dv::metrics {
 
-constexpr std::uint32_t kDvrVersion = 1;
+/// Layout version the writer stamps. Readers accept 1 and 2: version 2
+/// adds the sparse series dtype, so a v1 file is a v2 file without sparse
+/// chunks.
+constexpr std::uint32_t kDvrVersion = 2;
 /// Sampled series are split into frame-chunks of this many frames, each
 /// with its own zone map — the unit of lazy loading and pruning.
 constexpr std::size_t kDvrSeriesChunkFrames = 256;
@@ -51,7 +57,13 @@ enum class DvrType : std::uint16_t {
   kU32 = 3,
   kU64 = 4,
   kI32 = 5,
+  /// Series frame-chunks only (v2): the chunk's nonzero values as
+  /// ascending u32 offsets within the chunk, then their f32 bit patterns.
+  /// `rows` still counts every value of the chunk; absent ones are +0.0.
+  kSparseF32 = 6,
 };
+/// Payload bytes per stored element: the value size for dense types, one
+/// (offset, bits) pair for kSparseF32.
 std::size_t dvr_type_size(DvrType t);
 
 /// One chunk-directory entry: where a column (or series frame-chunk)
@@ -70,12 +82,17 @@ struct DvrChunk {
 /// Stable identity of a run's *content*: FNV-1a over every configuration
 /// field, metric column and sampled frame, independent of file format or
 /// path. Text and packed copies of the same run hash identically, so
-/// caches persisted across sessions can key on it.
+/// caches persisted across sessions can key on it. A run of n zero bytes
+/// is hashed as one multiplication by P^n (XOR with zero is a no-op), so
+/// the mostly-zero sampled series cost what their nonzeros cost.
 std::uint64_t run_content_uid(const RunMetrics& run);
 
 /// Writes `run` as a .dvr file (atomically and durably: tmp + fsync +
-/// rename).
-void save_dvr(const RunMetrics& run, const std::string& path);
+/// rename) and returns the content uid stamped into its header. Throws
+/// for a run the reader would reject (entity counts beyond the topology,
+/// series shapes that disagree with the record counts, more frames than
+/// end_time / sample_dt allows).
+std::uint64_t save_dvr(const RunMetrics& run, const std::string& path);
 
 /// Atomic durable file publish shared by the .dvr writer and the run-store
 /// index: writes `size` bytes to `path + ".tmp"`, fsyncs, renames over
@@ -115,6 +132,7 @@ class DvrFile {
   DvrFile& operator=(const DvrFile&) = delete;
 
   const std::string& path() const { return path_; }
+  std::uint32_t version() const { return version_; }
   std::uint64_t run_uid() const { return run_uid_; }
   std::uint64_t file_bytes() const { return size_; }
   const std::vector<DvrChunk>& chunks() const { return chunks_; }
@@ -146,8 +164,9 @@ class DvrFile {
 
   /// Windowed sum over frames [f0, f1) of one entity, touching only the
   /// overlapping frame-chunks and skipping all-zero ones via their zone
-  /// maps. Adding zeros never changes an accumulator that started at +0.0,
-  /// so the pruned sum is bit-identical to SampledSeries::range_sum.
+  /// maps (and the absent zeros of sparse chunks). Adding +0.0 never
+  /// changes an accumulator that started at +0.0, so the pruned sum is
+  /// bit-identical to SampledSeries::range_sum.
   double series_range_sum(std::size_t id, std::size_t entity,
                           std::size_t f0, std::size_t f1,
                           bool prune = true) const;
@@ -163,6 +182,7 @@ class DvrFile {
   std::uint64_t size_ = 0;
   std::vector<unsigned char> fallback_;  ///< used when mmap is unavailable
 
+  std::uint32_t version_ = 0;
   std::uint64_t run_uid_ = 0;
   std::uint32_t groups_ = 0, routers_per_group_ = 0,
                 terminals_per_router_ = 0, global_per_router_ = 0;
@@ -173,6 +193,7 @@ class DvrFile {
   std::string workload_, routing_, placement_;
   std::vector<std::string> job_names_;
   std::vector<DvrChunk> chunks_;
+  std::array<std::uint64_t, kDvrSeriesCount> series_frames_{};
 };
 
 }  // namespace dv::metrics

@@ -359,10 +359,10 @@ RunMetrics RunMetrics::from_json(const json::Value& v) {
 }
 
 void RunMetrics::save(const std::string& path) const {
-  std::ofstream os(path, std::ios::binary);
-  DV_REQUIRE(os.good(), "cannot open for writing: " + path);
-  os << json::dump(to_json());
-  DV_REQUIRE(os.good(), "write failed: " + path);
+  // The same atomic durable publish as the .dvr writer, so a crash never
+  // leaves a torn text run under the final name either.
+  const std::string text = json::dump(to_json());
+  atomic_write_file(path, text.data(), text.size());
 }
 
 RunMetrics RunMetrics::load(const std::string& path) {

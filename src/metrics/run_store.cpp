@@ -68,13 +68,43 @@ std::string RunStore::add(const RunMetrics& run, std::string name,
   for (int suffix = 2; contains(final_name); ++suffix) {
     final_name = name + "_" + std::to_string(suffix);
   }
-  if (format == StoreFormat::kPacked) {
-    save_dvr(run, path_of(final_name, format));
-  } else {
-    run.save(path_of(final_name, format));
+  index_.push_back(publish(run, final_name, format));
+  save_index();
+  return final_name;
+}
+
+const RunInfo& RunStore::replace(const RunMetrics& run,
+                                 const std::string& name,
+                                 StoreFormat format) {
+  DV_REQUIRE(!name.empty(), "run store replace needs a name");
+  RunInfo fresh = publish(run, name, format);
+  const auto it =
+      std::find_if(index_.begin(), index_.end(),
+                   [&](const RunInfo& i) { return i.name == name; });
+  if (it == index_.end()) {
+    index_.push_back(std::move(fresh));
+    save_index();
+    return index_.back();
   }
+  // The rename already replaced a same-format file; a run stored in the
+  // other format leaves its old file behind, removed only once the new
+  // one is in place.
+  if (it->format != format) fs::remove(path_of(it->name, it->format));
+  *it = std::move(fresh);
+  save_index();
+  return *it;
+}
+
+RunInfo RunStore::publish(const RunMetrics& run, const std::string& name,
+                          StoreFormat format) const {
   RunInfo info;
-  info.name = final_name;
+  if (format == StoreFormat::kPacked) {
+    info.uid = save_dvr(run, path_of(name, format));
+  } else {
+    run.save(path_of(name, format));
+    info.uid = run_content_uid(run);
+  }
+  info.name = name;
   info.workload = run.workload;
   info.routing = run.routing;
   info.placement = run.placement;
@@ -83,10 +113,7 @@ std::string RunStore::add(const RunMetrics& run, std::string name,
   info.end_time = run.end_time;
   info.sampled = run.has_time_series();
   info.format = format;
-  info.uid = run_content_uid(run);
-  index_.push_back(info);
-  save_index();
-  return final_name;
+  return info;
 }
 
 RunMetrics RunStore::load(const std::string& name) const {
@@ -107,17 +134,11 @@ void RunStore::repack(const std::string& name, StoreFormat format) {
                                [&](const RunInfo& i) { return i.name == name; });
   DV_REQUIRE(it != index_.end(), "run store has no run named '" + name + "'");
   if (it->format == format) return;
-  const RunMetrics run = RunMetrics::load(path_of(it->name, it->format));
+  const std::string old_path = path_of(it->name, it->format);
   // Write the new file before dropping the old one: a failure mid-repack
   // leaves the run readable in its original format.
-  if (format == StoreFormat::kPacked) {
-    save_dvr(run, path_of(it->name, format));
-  } else {
-    run.save(path_of(it->name, format));
-  }
-  fs::remove(path_of(it->name, it->format));
-  it->format = format;
-  if (it->uid == 0) it->uid = run_content_uid(run);
+  *it = publish(RunMetrics::load(old_path), it->name, format);
+  fs::remove(old_path);
   save_index();
 }
 

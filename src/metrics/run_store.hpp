@@ -56,6 +56,14 @@ class RunStore {
   std::string add(const RunMetrics& run, std::string name = "",
                   StoreFormat format = StoreFormat::kText);
 
+  /// Stores a run under exactly `name`, replacing any run stored there: the
+  /// new file is published by atomic rename over the old one (a file in the
+  /// other format is removed afterwards), the entry is updated in place and
+  /// the index is saved once. A crash leaves either the old run or the new
+  /// one. Returns the updated entry.
+  const RunInfo& replace(const RunMetrics& run, const std::string& name,
+                         StoreFormat format = StoreFormat::kText);
+
   RunMetrics load(const std::string& name) const;  // throws if missing
   void remove(const std::string& name);            // throws if missing
 
@@ -75,6 +83,10 @@ class RunStore {
 
  private:
   std::string path_of(const std::string& name, StoreFormat format) const;
+  /// Writes the run's file under `name` and returns its index entry, with
+  /// the uid the writer computed (each stored run is hashed once).
+  RunInfo publish(const RunMetrics& run, const std::string& name,
+                  StoreFormat format) const;
   void save_index() const;  // atomic + durable: tmp + fsync + rename
   void load_index();
 

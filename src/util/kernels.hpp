@@ -14,8 +14,10 @@
 // scalar twin.
 #pragma once
 
+#include <bit>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 
 #if defined(__SSE2__)
 #include <emmintrin.h>
@@ -57,11 +59,12 @@ inline void prefix_add_frame(const float* DV_RESTRICT frame,
 /// SampledSeries::range_sum loop. The adds form a sequential dependence
 /// chain (order is the contract), so this stays scalar; the win over the
 /// original is hoisting the base pointer and stride math out of the loop.
+/// `acc` continues a running sum, so a window split across storage chunks
+/// accumulates in exactly the order of one unsplit loop.
 inline double strided_sum(const float* DV_RESTRICT data, std::size_t stride,
-                          std::size_t offset, std::size_t f0,
-                          std::size_t f1) {
+                          std::size_t offset, std::size_t f0, std::size_t f1,
+                          double acc = 0.0) {
   const float* DV_RESTRICT p = data + f0 * stride + offset;
-  double acc = 0.0;
   for (std::size_t f = f0; f < f1; ++f, p += stride) {
     acc += static_cast<double>(*p);
   }
@@ -133,6 +136,32 @@ inline void minmax_f32(const float* DV_RESTRICT p, std::size_t n,
   }
   out_min = lo;
   out_max = hi;
+}
+
+/// Number of floats whose bit pattern is nonzero (-0.0f counts; only +0.0f
+/// is zero) — the .dvr writer's sparse-or-dense test per series chunk.
+/// Integer compares per lane, so the SSE2 path counts exactly.
+inline std::size_t count_nonzero_bits_f32(const float* DV_RESTRICT p,
+                                          std::size_t n) {
+  std::size_t zeros = 0;
+  std::size_t i = 0;
+#if DV_KERNELS_SSE2
+  const __m128i z = _mm_setzero_si128();
+  for (; i + 4 <= n; i += 4) {
+    const __m128i v =
+        _mm_loadu_si128(reinterpret_cast<const __m128i*>(p + i));
+    const int mask =
+        _mm_movemask_ps(_mm_castsi128_ps(_mm_cmpeq_epi32(v, z)));
+    zeros += static_cast<std::size_t>(
+        std::popcount(static_cast<unsigned>(mask)));
+  }
+#endif
+  for (; i < n; ++i) {
+    std::uint32_t bits;
+    std::memcpy(&bits, p + i, sizeof(bits));
+    zeros += bits == 0;
+  }
+  return n - zeros;
 }
 
 inline void minmax_f64(const double* DV_RESTRICT p, std::size_t n,

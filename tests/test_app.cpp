@@ -10,6 +10,7 @@
 #include "app/runner.hpp"
 #include "core/projection.hpp"
 #include "fault/fault.hpp"
+#include "metrics/dvr.hpp"
 
 namespace dv::app {
 namespace {
@@ -164,6 +165,40 @@ TEST(Cli, SimRenderExportInfoPipeline) {
   ASSERT_TRUE(fs::exists(ui_path));
 
   for (const auto& p : {run_path, spec_path, svg_path, csv_path, ui_path}) {
+    std::remove(p.c_str());
+  }
+}
+
+TEST(Cli, SimOutputFormatFollowsExtension) {
+  // sim shares pack's rule: --format wins, else a .dvr extension packs.
+  const std::string dvr_path = tmp("dv_cli_direct.dvr");
+  const std::string json_path = tmp("dv_cli_direct.json");
+  const std::string forced_path = tmp("dv_cli_forced.out");
+  const std::vector<std::string> sim = {"sim", "--p", "2", "--job",
+                                        "uniform_random", "--window", "20000",
+                                        "--sample-dt", "2000", "--out"};
+  auto with = [&](std::vector<std::string> extra) {
+    auto args = sim;
+    args.insert(args.end(), extra.begin(), extra.end());
+    return args;
+  };
+  ASSERT_EQ(cli(with({dvr_path})), 0);
+  ASSERT_EQ(cli(with({json_path})), 0);
+  ASSERT_EQ(cli(with({forced_path, "--format", "dvr"})), 0);
+  auto head = [](const std::string& path) {
+    std::ifstream is(path, std::ios::binary);
+    char magic[4] = {};
+    is.read(magic, sizeof(magic));
+    return std::string(magic, static_cast<std::size_t>(is.gcount()));
+  };
+  EXPECT_EQ(head(dvr_path), "DVR1");
+  EXPECT_EQ(head(forced_path), "DVR1");
+  EXPECT_EQ(head(json_path).substr(0, 1), "{");
+  EXPECT_EQ(metrics::DvrFile(dvr_path).version(), metrics::kDvrVersion);
+  // Same simulation, either format: the same content uid.
+  EXPECT_EQ(metrics::run_content_uid(metrics::RunMetrics::load(dvr_path)),
+            metrics::run_content_uid(metrics::RunMetrics::load(json_path)));
+  for (const auto& p : {dvr_path, json_path, forced_path}) {
     std::remove(p.c_str());
   }
 }

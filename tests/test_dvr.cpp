@@ -78,6 +78,247 @@ void expect_tables_bitwise_equal(const core::DataTable& a,
   }
 }
 
+#ifndef DV_TEST_GOLDEN_DIR
+#define DV_TEST_GOLDEN_DIR "tests/golden"
+#endif
+
+/// A sampled DF(2) run written by a version-1 `dragonviz pack`, and its
+/// content uid: the persisted key that must never change.
+constexpr const char* kGoldenV1 = DV_TEST_GOLDEN_DIR "/sampled_run_v1.dvr";
+constexpr std::uint64_t kGoldenV1Uid = 0xb803caf35ecd87cbull;
+
+using SeriesMember = metrics::SampledSeries metrics::RunMetrics::*;
+constexpr SeriesMember kSeries[metrics::kDvrSeriesCount] = {
+    &metrics::RunMetrics::local_traffic_ts,
+    &metrics::RunMetrics::local_sat_ts,
+    &metrics::RunMetrics::global_traffic_ts,
+    &metrics::RunMetrics::global_sat_ts,
+    &metrics::RunMetrics::term_traffic_ts,
+    &metrics::RunMetrics::term_sat_ts};
+
+void expect_links_bitwise_equal(const std::vector<metrics::LinkMetrics>& a,
+                                const std::vector<metrics::LinkMetrics>& b) {
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    EXPECT_EQ(a[i].src_router, b[i].src_router) << i;
+    EXPECT_EQ(a[i].src_port, b[i].src_port) << i;
+    EXPECT_EQ(a[i].dst_router, b[i].dst_router) << i;
+    EXPECT_EQ(a[i].dst_port, b[i].dst_port) << i;
+    EXPECT_TRUE(bits_equal(a[i].traffic, b[i].traffic)) << i;
+    EXPECT_TRUE(bits_equal(a[i].sat_time, b[i].sat_time)) << i;
+    EXPECT_TRUE(bits_equal(a[i].downtime, b[i].downtime)) << i;
+    EXPECT_EQ(a[i].retries, b[i].retries) << i;
+    EXPECT_EQ(a[i].pkts_dropped, b[i].pkts_dropped) << i;
+  }
+}
+
+/// Every field of two runs, doubles and floats compared by bits.
+void expect_runs_bitwise_equal(const metrics::RunMetrics& a,
+                               const metrics::RunMetrics& b) {
+  EXPECT_EQ(a.groups, b.groups);
+  EXPECT_EQ(a.routers_per_group, b.routers_per_group);
+  EXPECT_EQ(a.terminals_per_router, b.terminals_per_router);
+  EXPECT_EQ(a.global_per_router, b.global_per_router);
+  EXPECT_EQ(a.workload, b.workload);
+  EXPECT_EQ(a.routing, b.routing);
+  EXPECT_EQ(a.placement, b.placement);
+  EXPECT_EQ(a.seed, b.seed);
+  EXPECT_TRUE(bits_equal(a.end_time, b.end_time));
+  EXPECT_TRUE(bits_equal(a.sample_dt, b.sample_dt));
+  EXPECT_EQ(a.job_names, b.job_names);
+  expect_links_bitwise_equal(a.local_links, b.local_links);
+  expect_links_bitwise_equal(a.global_links, b.global_links);
+  ASSERT_EQ(a.terminals.size(), b.terminals.size());
+  for (std::size_t i = 0; i < a.terminals.size(); ++i) {
+    const auto& x = a.terminals[i];
+    const auto& y = b.terminals[i];
+    EXPECT_EQ(x.router, y.router) << i;
+    EXPECT_EQ(x.port, y.port) << i;
+    EXPECT_TRUE(bits_equal(x.data_size, y.data_size)) << i;
+    EXPECT_TRUE(bits_equal(x.sat_time, y.sat_time)) << i;
+    EXPECT_EQ(x.packets_finished, y.packets_finished) << i;
+    EXPECT_TRUE(bits_equal(x.sum_latency, y.sum_latency)) << i;
+    EXPECT_TRUE(bits_equal(x.sum_hops, y.sum_hops)) << i;
+    EXPECT_EQ(x.job, y.job) << i;
+    EXPECT_EQ(x.packets_rerouted, y.packets_rerouted) << i;
+    EXPECT_EQ(x.packets_dropped, y.packets_dropped) << i;
+    EXPECT_TRUE(bits_equal(x.downtime, y.downtime)) << i;
+  }
+  ASSERT_EQ(a.router_downtime.size(), b.router_downtime.size());
+  for (std::size_t i = 0; i < a.router_downtime.size(); ++i) {
+    EXPECT_TRUE(bits_equal(a.router_downtime[i], b.router_downtime[i]));
+  }
+  EXPECT_EQ(a.router_retries, b.router_retries);
+  EXPECT_EQ(a.router_drops, b.router_drops);
+  for (const SeriesMember m : kSeries) {
+    const auto& x = a.*m;
+    const auto& y = b.*m;
+    ASSERT_EQ(x.entities(), y.entities());
+    ASSERT_EQ(x.frames(), y.frames());
+    EXPECT_TRUE(bits_equal(x.dt(), y.dt()));
+    EXPECT_EQ(std::memcmp(x.data(), y.data(),
+                          x.frames() * x.entities() * sizeof(float)),
+              0);
+  }
+}
+
+/// Replaces every series of a sampled run with `frames` frames drawn per
+/// 256-frame chunk at a density that cycles through dense (90 %), sparse
+/// (5 %, a tenth of them -0.0) and empty (or, with `all_sparse`, sparse
+/// throughout) — empty chunks of odd series carry a few -0.0 values,
+/// which are stored although the zone map prunes them.
+/// end_time is stretched so the frames fit the sampled span.
+metrics::RunMetrics with_series(metrics::RunMetrics run, std::size_t frames,
+                                std::uint64_t seed, bool all_sparse) {
+  Rng rng(seed);
+  for (std::size_t k = 0; k < metrics::kDvrSeriesCount; ++k) {
+    auto& s = run.*kSeries[k];
+    const std::size_t entities = s.entities();
+    std::vector<float> v(frames * entities, 0.0f);
+    for (std::size_t f = 0; f < frames; ++f) {
+      const std::size_t kind =
+          all_sparse ? 1 : (f / metrics::kDvrSeriesChunkFrames + k) % 3;
+      const double density = kind == 0 ? 0.9 : kind == 1 ? 0.05 : 0.0;
+      for (std::size_t e = 0; e < entities; ++e) {
+        float& x = v[f * entities + e];
+        if (rng.next_double() < density) {
+          // Magnitudes over 40 binades: double sums of these round, so a
+          // window summed in any other order than the scalar loop's shows.
+          const double scale =
+              std::ldexp(1.0, static_cast<int>(rng.next_below(40)));
+          x = rng.next_double() < 0.1
+                  ? -0.0f
+                  : static_cast<float>(rng.next_double() * scale);
+        } else if (kind == 2 && k % 2 == 1 && rng.next_double() < 0.01) {
+          x = -0.0f;
+        }
+      }
+    }
+    s = metrics::SampledSeries::adopt(entities, run.sample_dt, std::move(v));
+  }
+  run.end_time = static_cast<double>(frames) * run.sample_dt;
+  return run;
+}
+
+std::string read_bytes(const std::string& path) {
+  std::ifstream is(path, std::ios::binary);
+  std::ostringstream buf;
+  buf << is.rdbuf();
+  return buf.str();
+}
+
+void write_bytes(const std::string& path, const std::string& bytes) {
+  std::ofstream os(path, std::ios::binary | std::ios::trunc);
+  os.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+}
+
+template <typename T>
+T get(const std::string& b, std::size_t at) {
+  T v;
+  std::memcpy(&v, b.data() + at, sizeof(v));
+  return v;
+}
+
+template <typename T>
+void put(std::string& b, std::size_t at, T v) {
+  std::memcpy(b.data() + at, &v, sizeof(v));
+}
+
+/// Byte offsets of the chunk-directory entries (docs/RUN_FORMAT.md: chunk
+/// count at byte 72, directory offset at 76, 56-byte entries).
+std::vector<std::size_t> dir_entries(const std::string& b) {
+  std::vector<std::size_t> out;
+  const auto n = get<std::uint32_t>(b, 72);
+  const auto dir = get<std::uint64_t>(b, 76);
+  for (std::uint32_t i = 0; i < n; ++i) out.push_back(dir + i * 56);
+  return out;
+}
+
+/// `fn` must throw a dv::Error whose message names `path`.
+template <typename F>
+void expect_path_error(const std::string& path, const char* what, F fn) {
+  try {
+    fn();
+    ADD_FAILURE() << what << ": no error";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find(path), std::string::npos)
+        << what << ": " << e.what();
+  }
+}
+
+/// run_content_uid's canonical byte stream, hashed one byte at a time —
+/// the reference the zero-run hashing must reproduce exactly.
+std::uint64_t naive_uid(const metrics::RunMetrics& run) {
+  std::uint64_t h = 1469598103934665603ull;
+  auto mix = [&h](const void* p, std::size_t n) {
+    const auto* b = static_cast<const unsigned char*>(p);
+    for (std::size_t i = 0; i < n; ++i) {
+      h ^= b[i];
+      h *= 1099511628211ull;
+    }
+  };
+  auto pod = [&mix](auto v) { mix(&v, sizeof(v)); };
+  auto str = [&](const std::string& s) {
+    pod(static_cast<std::uint64_t>(s.size()));
+    mix(s.data(), s.size());
+  };
+  pod(run.groups);
+  pod(run.routers_per_group);
+  pod(run.terminals_per_router);
+  pod(run.global_per_router);
+  str(run.workload);
+  str(run.routing);
+  str(run.placement);
+  pod(run.seed);
+  pod(run.end_time);
+  pod(static_cast<std::uint64_t>(run.job_names.size()));
+  for (const auto& n : run.job_names) str(n);
+  auto links = [&](const std::vector<metrics::LinkMetrics>& ls) {
+    pod(static_cast<std::uint64_t>(ls.size()));
+    for (const auto& l : ls) {
+      pod(l.src_router);
+      pod(l.src_port);
+      pod(l.dst_router);
+      pod(l.dst_port);
+      pod(l.traffic);
+      pod(l.sat_time);
+      pod(l.downtime);
+      pod(l.retries);
+      pod(l.pkts_dropped);
+    }
+  };
+  links(run.local_links);
+  links(run.global_links);
+  pod(static_cast<std::uint64_t>(run.terminals.size()));
+  for (const auto& t : run.terminals) {
+    pod(t.router);
+    pod(t.port);
+    pod(t.data_size);
+    pod(t.sat_time);
+    pod(t.packets_finished);
+    pod(t.sum_latency);
+    pod(t.sum_hops);
+    pod(t.job);
+    pod(t.packets_rerouted);
+    pod(t.packets_dropped);
+    pod(t.downtime);
+  }
+  pod(static_cast<std::uint64_t>(run.router_downtime.size()));
+  for (const double d : run.router_downtime) pod(d);
+  pod(static_cast<std::uint64_t>(run.router_retries.size()));
+  for (const std::uint64_t c : run.router_retries) pod(c);
+  pod(static_cast<std::uint64_t>(run.router_drops.size()));
+  for (const std::uint64_t c : run.router_drops) pod(c);
+  pod(run.sample_dt);
+  for (const SeriesMember m : kSeries) {
+    const auto& s = run.*m;
+    pod(static_cast<std::uint64_t>(s.entities()));
+    pod(static_cast<std::uint64_t>(s.frames()));
+    mix(s.data(), s.frames() * s.entities() * sizeof(float));
+  }
+  return h;
+}
+
 // ------------------------------------------------------------- round trip
 
 TEST(DvrFormat, RoundTripBitExactSampled) {
@@ -189,36 +430,154 @@ TEST(DvrFormat, HeaderOnlyOpenReadsNoChunks) {
 }
 
 TEST(DvrFormat, ZoneMapPrunedWindowSumsBitIdentical) {
-  const auto run = dvr_sample_run(true);
-  const auto path = temp_path("dv_dvr_prune.dvr");
-  metrics::save_dvr(run, path);
-  const metrics::DvrFile f(path);
-  metrics::dvr_reset_stats();
-  std::size_t checked = 0;
-  for (std::size_t id = 0; id < metrics::kDvrSeriesCount; ++id) {
-    const auto frames = f.series_frames(id);
-    const auto entities = f.series_entities(id);
-    if (frames == 0 || entities == 0) continue;
-    const auto series = f.series(id);
-    for (const std::size_t e : {std::size_t{0}, entities / 2, entities - 1}) {
-      for (const auto& [f0, f1] :
-           {std::pair<std::size_t, std::size_t>{0, frames},
-            {frames / 3, 2 * frames / 3},
-            {0, 1}}) {
-        const double pruned = f.series_range_sum(id, e, f0, f1, true);
-        const double full = f.series_range_sum(id, e, f0, f1, false);
-        const double scalar = series.range_sum(e, f0, f1);
-        ASSERT_TRUE(bits_equal(pruned, full));
-        ASSERT_TRUE(bits_equal(pruned, scalar));
-        ++checked;
+  // The simulated run, and one whose series span three 256-frame chunks of
+  // every storage kind, so windows cross dense, sparse and pruned chunks.
+  const auto real = dvr_sample_run(true);
+  const auto mixed = with_series(dvr_sample_run(true), 700, 5, false);
+  for (const auto* run : {&real, &mixed}) {
+    const auto path = temp_path("dv_dvr_prune.dvr");
+    metrics::save_dvr(*run, path);
+    const metrics::DvrFile f(path);
+    if (run == &mixed) {
+      std::size_t dense = 0, sparse = 0;
+      for (const auto& c : f.chunks()) {
+        if (c.section < 16 || c.rows == 0) continue;
+        if (c.dtype == static_cast<std::uint16_t>(metrics::DvrType::kF32)) {
+          ++dense;
+        } else if (c.dtype == static_cast<std::uint16_t>(
+                                  metrics::DvrType::kSparseF32)) {
+          ++sparse;
+        }
+      }
+      EXPECT_GT(dense, 0u);
+      EXPECT_GT(sparse, 0u);
+    }
+    metrics::dvr_reset_stats();
+    std::size_t checked = 0;
+    for (std::size_t id = 0; id < metrics::kDvrSeriesCount; ++id) {
+      const auto frames = f.series_frames(id);
+      const auto entities = f.series_entities(id);
+      if (frames == 0 || entities == 0) continue;
+      const auto series = f.series(id);
+      const auto& original = (*run).*kSeries[id];
+      ASSERT_EQ(series.frames(), original.frames());
+      ASSERT_EQ(std::memcmp(series.data(), original.data(),
+                            frames * entities * sizeof(float)),
+                0);
+      for (const std::size_t e : {std::size_t{0}, entities / 2, entities - 1}) {
+        for (const auto& [f0, f1] :
+             {std::pair<std::size_t, std::size_t>{0, frames},
+              {frames / 3, 2 * frames / 3},
+              {0, 1},
+              {250, 262},
+              {255, 513},
+              {511, 700}}) {
+          if (f1 > frames) continue;
+          const double pruned = f.series_range_sum(id, e, f0, f1, true);
+          const double full = f.series_range_sum(id, e, f0, f1, false);
+          const double scalar = series.range_sum(e, f0, f1);
+          ASSERT_TRUE(bits_equal(pruned, full)) << f0 << ".." << f1;
+          ASSERT_TRUE(bits_equal(pruned, scalar)) << f0 << ".." << f1;
+          ++checked;
+        }
       }
     }
+    EXPECT_GT(checked, 0u);
+    // The sampled tail of a short run leaves all-zero chunks behind; the
+    // pruning path must actually have fired for this test to mean anything.
+    EXPECT_GT(metrics::dvr_stats().chunks_pruned, 0u);
+    std::remove(path.c_str());
   }
-  EXPECT_GT(checked, 0u);
-  // The sampled tail of a short run leaves all-zero chunks behind; the
-  // pruning path must actually have fired for this test to mean anything.
-  EXPECT_GT(metrics::dvr_stats().chunks_pruned, 0u);
+}
+
+TEST(DvrFormat, GoldenV1FixtureLoadsWithPinnedUid) {
+  const metrics::DvrFile v1_file(kGoldenV1);
+  EXPECT_EQ(v1_file.version(), 1u);
+  EXPECT_EQ(v1_file.run_uid(), kGoldenV1Uid);
+  const auto v1 = metrics::load_dvr(kGoldenV1);
+  ASSERT_TRUE(v1.has_time_series());
+  EXPECT_EQ(metrics::run_content_uid(v1), kGoldenV1Uid);
+
+  // Re-saving writes version 2 — smaller, with sparse series chunks —
+  // under the same uid, and reloads bit-identically.
+  const auto path = temp_path("dv_dvr_golden_v2.dvr");
+  EXPECT_EQ(metrics::save_dvr(v1, path), kGoldenV1Uid);
+  const metrics::DvrFile v2_file(path);
+  EXPECT_EQ(v2_file.version(), metrics::kDvrVersion);
+  EXPECT_EQ(v2_file.run_uid(), kGoldenV1Uid);
+  EXPECT_LT(v2_file.file_bytes(), v1_file.file_bytes());
+  EXPECT_TRUE(std::any_of(
+      v2_file.chunks().begin(), v2_file.chunks().end(), [](const auto& c) {
+        return c.dtype ==
+               static_cast<std::uint16_t>(metrics::DvrType::kSparseF32);
+      }));
+  const auto v2 = metrics::load_dvr(path);
   std::remove(path.c_str());
+  expect_runs_bitwise_equal(v1, v2);
+  EXPECT_EQ(metrics::run_content_uid(v2), kGoldenV1Uid);
+}
+
+TEST(DvrUid, ZeroRunHashMatchesNaiveByteLoop) {
+  auto run = dvr_sample_run(false);
+  run.sample_dt = 250.0;
+  Rng rng(31);
+  // One zero run of every length 0..70 at every byte alignment, with the
+  // buffer ending inside a second run on alternate cases.
+  std::size_t cases = 0;
+  for (std::size_t len = 0; len <= 70; ++len) {
+    for (std::size_t align = 0; align < 8; ++align, ++cases) {
+      const std::size_t entities = 3;
+      const std::size_t frames = (align + len + 16) / (4 * entities) + 1;
+      std::vector<unsigned char> b(frames * entities * sizeof(float));
+      for (auto& x : b) x = static_cast<unsigned char>(1 + rng.next_below(255));
+      std::fill_n(b.begin() + static_cast<std::ptrdiff_t>(align), len, 0);
+      if (cases % 2 == 1) {
+        std::fill(b.end() - static_cast<std::ptrdiff_t>(len % 13), b.end(), 0);
+      }
+      std::vector<float> v(b.size() / sizeof(float));
+      std::memcpy(v.data(), b.data(), b.size());
+      run.local_traffic_ts =
+          metrics::SampledSeries::adopt(entities, 250.0, std::move(v));
+      ASSERT_EQ(metrics::run_content_uid(run), naive_uid(run))
+          << "len=" << len << " align=" << align;
+    }
+  }
+  // Random series: runs of zero floats and zero bytes of random length,
+  // -0.0 values, a fully zero series, and both kinds of empty series.
+  for (int trial = 0; trial < 20; ++trial) {
+    for (std::size_t k = 0; k < metrics::kDvrSeriesCount; ++k) {
+      const std::size_t entities = 1 + rng.next_below(9);
+      const std::size_t frames = rng.next_below(40);
+      std::vector<unsigned char> b(frames * entities * sizeof(float), 0);
+      for (std::size_t i = 0; i < b.size();) {
+        const std::size_t zeros = rng.next_below(71);
+        i += zeros;
+        const std::size_t dense = rng.next_below(9);
+        for (std::size_t j = 0; j < dense && i < b.size(); ++j, ++i) {
+          b[i] = static_cast<unsigned char>(rng.next_below(256));
+        }
+      }
+      std::vector<float> v(b.size() / sizeof(float));
+      if (!b.empty()) std::memcpy(v.data(), b.data(), b.size());
+      for (auto& x : v) {
+        if (rng.next_below(8) == 0) x = -0.0f;
+      }
+      run.*kSeries[k] =
+          metrics::SampledSeries::adopt(entities, 250.0, std::move(v));
+    }
+    if (trial == 1) {
+      run.global_sat_ts = metrics::SampledSeries::adopt(
+          4, 250.0, std::vector<float>(4 * 33, 0.0f));
+    }
+    if (trial == 2) run.term_sat_ts = metrics::SampledSeries(5, 250.0);
+    if (trial == 3) run.term_traffic_ts = metrics::SampledSeries();
+    ASSERT_EQ(metrics::run_content_uid(run), naive_uid(run))
+        << "trial " << trial;
+  }
+  // The simulated run and the v1 fixture hash as the byte loop does too.
+  const auto real = dvr_sample_run(true);
+  EXPECT_EQ(metrics::run_content_uid(real), naive_uid(real));
+  EXPECT_EQ(naive_uid(metrics::load_dvr(kGoldenV1)), kGoldenV1Uid);
 }
 
 TEST(DvrFormat, RejectsTruncatedAndForeignFiles) {
@@ -325,6 +684,136 @@ TEST(DvrFormat, RejectsMalformedChunkDirectory) {
   std::remove(path.c_str());
 }
 
+/// A small sampled run whose every series chunk is stored sparse.
+struct SparseFile {
+  std::string path = temp_path("dv_dvr_hostile.dvr");
+  metrics::RunMetrics run = with_series(dvr_sample_run(true), 40, 9, true);
+  std::string bytes;
+  std::size_t entry = 0;  ///< directory entry of a sparse chunk
+  std::size_t nnz = 0;
+
+  SparseFile() {
+    metrics::save_dvr(run, path);
+    bytes = read_bytes(path);
+    for (const std::size_t at : dir_entries(bytes)) {
+      if (get<std::uint16_t>(bytes, at + 4) ==
+              static_cast<std::uint16_t>(metrics::DvrType::kSparseF32) &&
+          get<std::uint64_t>(bytes, at + 16) >= 16) {
+        entry = at;
+        nnz = get<std::uint64_t>(bytes, at + 16) / 8;
+        break;
+      }
+    }
+  }
+  ~SparseFile() { std::remove(path.c_str()); }
+  std::size_t payload() const { return get<std::uint64_t>(bytes, entry + 8); }
+  std::uint64_t rows() const { return get<std::uint64_t>(bytes, entry + 24); }
+  std::size_t series_id() const {
+    return get<std::uint16_t>(bytes, entry) - 16;
+  }
+};
+
+TEST(DvrHostile, SparseOffsetsAreBoundsChecked) {
+  SparseFile sf;
+  ASSERT_NE(sf.entry, 0u);
+  const std::size_t id = sf.series_id();
+  auto rejected = [&](const char* what, auto mutate) {
+    std::string b = sf.bytes;
+    mutate(b);
+    write_bytes(sf.path, b);
+    // Offsets are checked where they are decoded: every reader path.
+    expect_path_error(sf.path, what, [&] { metrics::load_dvr(sf.path); });
+    const metrics::DvrFile f(sf.path);
+    expect_path_error(sf.path, what, [&] { f.series(id); });
+    expect_path_error(sf.path, what, [&] {
+      f.series_range_sum(id, 0, 0, f.series_frames(id), false);
+    });
+  };
+  const std::size_t offs = sf.payload();
+  rejected("offset >= rows", [&](std::string& b) {
+    put(b, offs + 4 * (sf.nnz - 1), static_cast<std::uint32_t>(sf.rows()));
+  });
+  rejected("duplicate offset", [&](std::string& b) {
+    put(b, offs + 4, get<std::uint32_t>(b, offs));
+  });
+  rejected("descending offsets", [&](std::string& b) {
+    const auto first = get<std::uint32_t>(b, offs);
+    put(b, offs, get<std::uint32_t>(b, offs + 4));
+    put(b, offs + 4, first);
+  });
+}
+
+TEST(DvrHostile, SparseChunkShapesRejectedAtOpen) {
+  SparseFile sf;
+  ASSERT_NE(sf.entry, 0u);
+  auto rejected = [&](const char* what, auto mutate) {
+    std::string b = sf.bytes;
+    mutate(b);
+    write_bytes(sf.path, b);
+    expect_path_error(sf.path, what, [&] { metrics::DvrFile{sf.path}; });
+  };
+  rejected("more nonzeros than rows", [&](std::string& b) {
+    put(b, sf.entry + 24, static_cast<std::uint64_t>(sf.nnz - 1));
+  });
+  rejected("payload not a multiple of 8", [&](std::string& b) {
+    put(b, sf.entry + 16, static_cast<std::uint64_t>(sf.nnz * 8 - 4));
+  });
+  // A sparse chunk stores nothing for zeros, so a chunk can claim frames
+  // no payload backs: only the end_time / sample_dt cap stops it.
+  rejected("chunk frames beyond end_time / sample_dt", [&](std::string& b) {
+    const std::uint64_t entities = sf.rows() / 40;
+    put(b, sf.entry + 24, entities * metrics::kDvrSeriesChunkFrames);
+  });
+  rejected("end_time too short for the frames", [&](std::string& b) {
+    put(b, 40, sf.run.sample_dt);  // header end_time
+  });
+  rejected("sparse dtype outside a series", [&](std::string& b) {
+    for (const std::size_t at : dir_entries(b)) {
+      // A terminals u32 column relabelled sparse.
+      if (get<std::uint16_t>(b, at) == 3 &&
+          get<std::uint16_t>(b, at + 4) == 3) {
+        put(b, at + 4, static_cast<std::uint16_t>(6));
+        break;
+      }
+    }
+  });
+  rejected("entity count beyond the topology", [&](std::string& b) {
+    put(b, 64, get<std::uint32_t>(b, 64) + 1);  // n_terminals
+  });
+  rejected("non-contiguous series chunks", [&](std::string& b) {
+    put(b, sf.entry + 32, std::uint64_t{1});  // row0
+  });
+  rejected("unknown dtype", [&](std::string& b) {
+    put(b, sf.entry + 4, static_cast<std::uint16_t>(9));
+  });
+}
+
+TEST(DvrHostile, ByteFlipSweepLoadsOrThrows) {
+  SparseFile sf;
+  Rng rng(20261021);
+  std::size_t loaded = 0, rejected = 0;
+  for (int i = 0; i < 3000; ++i) {
+    std::string b = sf.bytes;
+    const std::size_t at = rng.next_below(b.size());
+    const auto flip = static_cast<char>(1 + rng.next_below(255));
+    b[at] = static_cast<char>(b[at] ^ flip);
+    write_bytes(sf.path, b);
+    try {
+      const metrics::DvrFile f(sf.path);
+      f.load_all();
+      for (std::size_t id = 0; id < metrics::kDvrSeriesCount; ++id) {
+        if (f.series_entities(id) == 0) continue;
+        f.series_range_sum(id, 0, 0, f.series_frames(id), true);
+      }
+      ++loaded;
+    } catch (const Error&) {
+      ++rejected;  // any other exception fails the test
+    }
+  }
+  EXPECT_GT(loaded, 0u);
+  EXPECT_GT(rejected, 0u);
+}
+
 TEST(DvrFormat, SampledSeriesAdoptValidates) {
   auto s = metrics::SampledSeries::adopt(2, 10.0, {1.0f, 2.0f, 3.0f, 4.0f});
   EXPECT_EQ(s.entities(), 2u);
@@ -413,6 +902,36 @@ TEST(DvrStore, PackedAddRepackAndAtomicIndex) {
       std::filesystem::exists(std::filesystem::path(dir) / "index.json.tmp"));
   EXPECT_TRUE(
       std::filesystem::exists(std::filesystem::path(dir) / "index.json"));
+  std::filesystem::remove_all(dir);
+}
+
+TEST(DvrStore, ReplaceUpdatesEntryInPlace) {
+  const auto dir = temp_path("dv_dvr_store_replace");
+  std::filesystem::remove_all(dir);
+  const auto a = dvr_sample_run(false, 17);
+  const auto b = dvr_sample_run(false, 18);
+  const auto uid_b = metrics::run_content_uid(b);
+  {
+    metrics::RunStore store(dir);
+    store.add(a, "first", metrics::StoreFormat::kText);
+    store.add(a, "second", metrics::StoreFormat::kText);
+    // Switching format: the packed file is published, the text one goes.
+    const auto& info = store.replace(b, "first", metrics::StoreFormat::kPacked);
+    EXPECT_EQ(info.uid, uid_b);
+    EXPECT_EQ(info.format, metrics::StoreFormat::kPacked);
+    ASSERT_EQ(store.size(), 2u);
+    EXPECT_EQ(store.list()[0].name, "first");  // updated in place
+    EXPECT_TRUE(metrics::is_dvr_file(store.path("first")));
+    EXPECT_FALSE(
+        std::filesystem::exists(std::filesystem::path(dir) / "first.json"));
+    // A new name is simply added, without a suffix.
+    store.replace(a, "third", metrics::StoreFormat::kPacked);
+    EXPECT_EQ(store.size(), 3u);
+  }
+  const metrics::RunStore reopened(dir);
+  EXPECT_EQ(reopened.info("first").uid, uid_b);
+  EXPECT_EQ(metrics::run_content_uid(reopened.load("first")), uid_b);
+  EXPECT_EQ(reopened.info("third").uid, metrics::run_content_uid(a));
   std::filesystem::remove_all(dir);
 }
 
@@ -533,6 +1052,22 @@ TEST(KernelEquivalence, MinMax) {
     EXPECT_EQ(fhi, *std::max_element(f.begin(), f.end()));
     EXPECT_EQ(dlo, *std::min_element(d.begin(), d.end()));
     EXPECT_EQ(dhi, *std::max_element(d.begin(), d.end()));
+  }
+}
+
+TEST(KernelEquivalence, CountNonzeroBits) {
+  Rng rng(13);
+  for (const std::size_t n : {0u, 1u, 3u, 4u, 5u, 8u, 9u, 1001u}) {
+    std::vector<float> v(n, 0.0f);
+    for (auto& x : v) {
+      const auto r = rng.next_below(4);
+      x = r == 0   ? -0.0f
+          : r == 1 ? static_cast<float>(rng.next_double())
+                   : 0.0f;
+    }
+    std::size_t want = 0;
+    for (const float x : v) want += std::bit_cast<std::uint32_t>(x) != 0;
+    EXPECT_EQ(kernels::count_nonzero_bits_f32(v.data(), n), want) << n;
   }
 }
 

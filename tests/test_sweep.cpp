@@ -10,6 +10,7 @@
 #include <sstream>
 
 #include "app/sweep.hpp"
+#include "metrics/dvr.hpp"
 #include "metrics/run_store.hpp"
 
 namespace dv::app {
@@ -96,6 +97,38 @@ TEST(Sweep, DeterministicAcrossRunsAndIdempotentInPlace) {
   }
   std::filesystem::remove_all(dir_a);
   std::filesystem::remove_all(dir_b);
+}
+
+TEST(Sweep, ResweepReplacesEachPointInOnePublish) {
+  const auto dir = temp_dir("dv_sweep_test_replace");
+  const auto first = run_sweep(grid_config(dir));
+  // A different seed changes every point's content, so each re-swept
+  // point must land under its old name with a new uid.
+  auto cfg = grid_config(dir);
+  cfg.base.seed = 4;
+  const auto second = run_sweep(cfg);
+  ASSERT_EQ(second.points.size(), first.points.size());
+
+  const metrics::RunStore store(dir);
+  ASSERT_EQ(store.size(), second.points.size());
+  for (std::size_t i = 0; i < second.points.size(); ++i) {
+    const auto& p = second.points[i];
+    EXPECT_EQ(p.name, first.points[i].name);
+    EXPECT_NE(p.uid, first.points[i].uid) << p.name;
+    EXPECT_EQ(store.info(p.name).uid, p.uid) << p.name;
+    EXPECT_EQ(metrics::run_content_uid(store.load(p.name)), p.uid) << p.name;
+  }
+  std::set<std::string> names;
+  for (const auto& info : store.list()) names.insert(info.name);
+  EXPECT_EQ(names.size(), store.size());  // one entry per point
+  // Every publish renamed its temp file away: only the runs and the index.
+  std::size_t files = 0;
+  for (const auto& e : std::filesystem::directory_iterator(dir)) {
+    EXPECT_NE(e.path().extension(), ".tmp") << e.path();
+    ++files;
+  }
+  EXPECT_EQ(files, store.size() + 1);
+  std::filesystem::remove_all(dir);
 }
 
 TEST(Sweep, ComparisonReportReferencesEveryRun) {
